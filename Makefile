@@ -15,17 +15,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Scheduler hot-path microbenchmarks (indexed vs linear picker across
-# queue depths, plus the full opportunistic submit path). -benchmem
-# backs the ~0 allocs/op claim; repeated -count samples make the output
-# benchstat-ready:
+# Host hot-path microbenchmarks: the scheduler (indexed vs linear picker
+# across queue depths, plus the full opportunistic submit path) and the
+# heap read path (slot-directed RID fetch, full scan with and without a
+# predicate). -benchmem backs the allocs/op claims; repeated -count
+# samples make the output benchstat-ready:
 #
 #   make bench BENCH_OUT=old.txt
 #   ... edit ...
 #   make bench BENCH_OUT=new.txt
 #   benchstat old.txt new.txt
 bench:
-	$(GO) test ./internal/iosched -run '^$$' -bench 'BenchmarkSubmit' \
+	$(GO) test ./internal/iosched ./internal/engine/heap -run '^$$' \
+		-bench 'BenchmarkSubmit|BenchmarkHeap' \
 		-benchmem -count $(BENCH_COUNT) | tee $(BENCH_OUT)
 
 # The experiment-level view of the same hot path (grants/sec, allocs/op,

@@ -31,6 +31,13 @@
 // gauges, and latency histograms from all layers — is dumped to stdout
 // after the experiments finish, and embedded in the -json document when
 // both are given.
+//
+// -cpuprofile and -memprofile write host-side pprof profiles of the whole
+// run (the simulator's own cost, not the simulated time):
+//
+//	hbench -exp fig11 -sf 0.02 -cpuprofile cpu.out -memprofile mem.out
+//	go tool pprof -top cpu.out
+//	go tool pprof -sample_index=alloc_space -top mem.out
 package main
 
 import (
@@ -80,6 +87,8 @@ func main() {
 	traceCap := flag.Int("tracecap", 0, "trace ring-buffer capacity in spans (0 = default 65536; oldest spans drop first)")
 	traceSample := flag.Int("tracesample", 1, "record per-request spans for 1 in N requests (1 = all; >1 trades fidelity for memory)")
 	metricsDump := flag.Bool("metrics", false, "dump the metrics registry (counters, gauges, histograms) to stdout after the run")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (read it with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host heap profile to this file at exit (go tool pprof -sample_index=alloc_space for bytes allocated)")
 	flag.Parse()
 
 	traceSet := false
@@ -96,6 +105,10 @@ func main() {
 	}
 	if *traceSample < 1 {
 		log.Fatal("-tracesample must be >= 1")
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The observability set is shared by every instance the experiments
@@ -399,6 +412,9 @@ func main() {
 			log.Fatalf("-json: %v", err)
 		}
 		fmt.Printf("metrics written to %s\n", *jsonPath)
+	}
+	if err := stopProfiles(); err != nil {
+		log.Fatal(err)
 	}
 }
 

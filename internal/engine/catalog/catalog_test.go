@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleSchema() Schema {
@@ -64,6 +65,32 @@ func TestDecodeTruncated(t *testing.T) {
 	for cut := 0; cut < len(enc); cut++ {
 		if _, _, err := DecodeTuple(enc[:cut], s); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestDecodeTupleView: the view decode yields the same values as the
+// owned decode, with strings aliasing the source bytes, and the nil-tuple
+// validation fails exactly where the owned decode fails.
+func TestDecodeTupleView(t *testing.T) {
+	s := sampleSchema()
+	in := Tuple{IntDatum(7), FloatDatum(-1.5), StringDatum("view"), IntDatum(9)}
+	enc, _ := EncodeTuple(nil, s, in)
+	view := make(Tuple, len(s.Cols))
+	n, err := DecodeTupleView(enc, s, view)
+	if err != nil || n != len(enc) || !reflect.DeepEqual(view, in) {
+		t.Fatalf("view decode: %v %d %v", view, n, err)
+	}
+	if p := unsafe.StringData(view[2].S); p != &enc[len(enc)-12] {
+		t.Fatal("view string does not alias the source")
+	}
+	if n, err := DecodeTupleView(enc, s, nil); err != nil || n != len(enc) {
+		t.Fatalf("validation: %d %v", n, err)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		_, _, owned := DecodeTuple(enc[:cut], s)
+		if _, err := DecodeTupleView(enc[:cut], s, nil); (err == nil) != (owned == nil) {
+			t.Fatalf("cut %d: validation err %v, owned decode err %v", cut, err, owned)
 		}
 	}
 }

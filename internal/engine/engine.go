@@ -292,16 +292,13 @@ func (inst *Instance) BuildIndex(name, table, column string) (*catalog.IndexInfo
 	sess := inst.NewSession()
 	file := heap.NewFile(info.ID, info.Schema, policy.Table)
 	sc := file.NewScanner(&sess.Clk, inst.Pool, inst.DB.Store.Pages(info.ID))
+	// Keys are read off the scanner's page view; no row is materialized.
 	var entries []btree.Entry
-	for {
-		t, rid, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	if _, _, _, err := sc.NextMatch(func(t catalog.Tuple, rid catalog.RID) bool {
 		entries = append(entries, btree.Entry{Key: t[col].I, RID: rid})
+		return false
+	}); err != nil {
+		return nil, err
 	}
 	if _, _, err := btree.Build(&sess.Clk, inst.Pool, ix.ID, entries); err != nil {
 		return nil, err

@@ -56,18 +56,22 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator. Pred runs on the scanner's page view, so only
+// matching rows are materialized; every live tuple is charged as it is
+// seen, matching or not, before the scan reads the next page.
 func (s *SeqScan) Next(ctx *Ctx) (catalog.Tuple, bool, error) {
-	for {
+	if s.Pred == nil {
 		t, _, ok, err := s.scanner.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if ok {
+			ctx.ChargeTuples(1)
 		}
-		ctx.ChargeTuples(1)
-		if s.Pred == nil || s.Pred(t) {
-			return t, true, nil
-		}
+		return t, ok, err
 	}
+	t, _, ok, err := s.scanner.NextMatch(func(t catalog.Tuple, _ catalog.RID) bool {
+		ctx.ChargeTuples(1)
+		return s.Pred(t)
+	})
+	return t, ok, err
 }
 
 // Close implements Operator.

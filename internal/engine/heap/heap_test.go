@@ -20,7 +20,7 @@ type harness struct {
 	clk   simclock.Clock
 }
 
-func newHarness(t *testing.T, bpPages int) *harness {
+func newHarness(t testing.TB, bpPages int) *harness {
 	t.Helper()
 	store := pagestore.NewStore()
 	sys, err := hybrid.New(hybrid.Config{Mode: hybrid.HStorage, CacheBlocks: 1024})

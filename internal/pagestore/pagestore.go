@@ -151,23 +151,32 @@ func (s *Store) Extend(id ObjectID, pages int64) error {
 	return nil
 }
 
-// ReadPage copies the content of (object, page) into a fresh buffer. Pages
-// never written read as zeroes.
+// zeroPage is the content of every page never written.
+var zeroPage = make([]byte, PageSize)
+
+// ReadPage returns the content of (object, page): the stored page itself,
+// not a copy. The result is read-only; callers must not write into it. It
+// stays valid and unchanged for as long as the caller holds it, because
+// the store never writes into an installed page: WritePage installs a new
+// buffer, and Truncate, Delete and LBA reuse only drop references. Pages
+// never written read as zeroes (a shared, equally read-only page).
 func (s *Store) ReadPage(id ObjectID, page int64) ([]byte, int64, error) {
 	lba, err := s.LBA(id, page)
 	if err != nil {
 		return nil, 0, err
 	}
-	buf := make([]byte, PageSize)
 	s.mu.Lock()
-	if data, ok := s.pages[lba]; ok {
-		copy(buf, data)
-	}
+	data, ok := s.pages[lba]
 	s.mu.Unlock()
-	return buf, lba, nil
+	if !ok {
+		data = zeroPage
+	}
+	return data, lba, nil
 }
 
-// WritePage stores the content of (object, page). The data is copied.
+// WritePage stores the content of (object, page). The data is copied
+// into a new buffer, so views returned by earlier ReadPage calls keep
+// their old content.
 func (s *Store) WritePage(id ObjectID, page int64, data []byte) (int64, error) {
 	if len(data) > PageSize {
 		return 0, fmt.Errorf("pagestore: page payload %d exceeds %d", len(data), PageSize)

@@ -136,6 +136,61 @@ func TestDeleteReturnsExtentsAndRecycles(t *testing.T) {
 	}
 }
 
+// TestReadPageViewsKeepTheirContent: ReadPage hands out the stored page,
+// not a copy, so the store must never write into an installed page. A view
+// taken earlier keeps its content across a rewrite of the page, a
+// Truncate, and the reuse of its LBA by another object, and pages that
+// were never written (again) read as zeroes.
+func TestReadPageViewsKeepTheirContent(t *testing.T) {
+	s := NewStore()
+	_ = s.Create(1)
+	zero := make([]byte, PageSize)
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
+	read := func(id ObjectID, p int64) []byte {
+		t.Helper()
+		data, _, err := s.ReadPage(id, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	if !bytes.Equal(read(1, 3), zero) {
+		t.Fatal("unwritten page not zero")
+	}
+	_, _ = s.WritePage(1, 0, page(1))
+	v1 := read(1, 0)
+	_, _ = s.WritePage(1, 0, page(2))
+	v2 := read(1, 0)
+	if !bytes.Equal(v1, page(1)) || !bytes.Equal(v2, page(2)) {
+		t.Fatal("rewrite changed an earlier view")
+	}
+	lba, _ := s.LBA(1, 0)
+
+	if _, err := s.Truncate(1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2, page(2)) {
+		t.Fatal("truncate changed an earlier view")
+	}
+
+	// Object 1's extent went back to the free list; object 2 reuses it.
+	_ = s.Create(2)
+	if got, _ := s.LBA(2, 0); got != lba {
+		t.Fatalf("object 2 page 0 at LBA %d, want recycled %d", got, lba)
+	}
+	_, _ = s.WritePage(2, 0, page(3))
+	if !bytes.Equal(v1, page(1)) || !bytes.Equal(v2, page(2)) {
+		t.Fatal("LBA reuse changed an earlier view")
+	}
+	if !bytes.Equal(read(2, 0), page(3)) || !bytes.Equal(read(2, 1), zero) {
+		t.Fatal("recycled extent reads wrong content")
+	}
+	if !bytes.Equal(read(1, 0), zero) {
+		t.Fatal("truncated page not zero")
+	}
+}
+
 func TestTruncateKeepsObject(t *testing.T) {
 	s := NewStore()
 	_ = s.Create(1)
